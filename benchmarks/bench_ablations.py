@@ -1,4 +1,5 @@
-"""Ablation benches for the design decisions called out in DESIGN.md.
+"""Ablation benches for three modelling decisions; each bench asserts
+that the rejected alternative measurably changes the outcome:
 
 * **D2** — DREAM's *Set one bit* block: quality with vs without the
   implied-boundary-bit compensation.

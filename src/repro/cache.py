@@ -20,9 +20,9 @@ Design, mirroring the campaign result store:
 * exactly-once computation across processes is enforced with a per-entry
   ``fcntl`` file lock: the first worker to need a model computes it
   while the others block, then read the fresh entry under the same lock;
-* every computation appends one line to ``events.jsonl``, giving tests
-  and benchmarks an auditable fleet-wide "calibrated exactly once"
-  record.
+* every computation appends one line to ``events.jsonl`` (a
+  :mod:`repro.journal`), giving tests and benchmarks an auditable
+  fleet-wide "calibrated exactly once" record.
 
 The cache root defaults to ``benchmarks/results/cache`` (override with
 ``REPRO_CACHE_DIR``); ``REPRO_CACHE_DISABLE=1`` turns the disk layer off
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from . import obs
+from . import journal, obs
 from .campaign.spec import content_hash
 from .errors import ReproError
 
@@ -260,23 +260,11 @@ class DiskCache:
         times was this computed" audit), ``"hit"`` (a disk-layer read;
         at most one per entry per process — the memory layer absorbs
         repeats), or ``"clear"`` (an eviction of the whole cache).
-        Lines are small single ``write`` appends, so concurrent writers
-        stay line-atomic without a lock.
         """
         record: dict[str, Any] = {"event": kind, "pid": os.getpid()}
         if digest is not None:
             record["hash"] = digest
-        line = (json.dumps(record) + "\n").encode("utf-8")
-        self.root.mkdir(parents=True, exist_ok=True)
-        # a+b so the torn-tail check can read the current last byte: if
-        # a previous writer died mid-line, seal the debris with a
-        # newline so this event cannot merge with it (the reader then
-        # tolerates-and-quarantines the isolated torn line).
-        with open(self.events_path, "a+b") as handle:
-            size = os.fstat(handle.fileno()).st_size
-            if size and os.pread(handle.fileno(), 1, size - 1) != b"\n":
-                handle.write(b"\n")
-            handle.write(line)
+        journal.append(self.events_path, [record])
 
     # -- maintenance -------------------------------------------------------
 
@@ -331,30 +319,10 @@ def _read_events(root: Path | str | None) -> list[dict]:
     the log carried an ``event`` key are computations — the only kind
     the log recorded then.
     """
-    from .campaign.store import quarantine_torn_lines
-
     events_path = (
         Path(root) if root is not None else default_cache_root()
     ) / "events.jsonl"
-    records: list[dict] = []
-    if not events_path.exists():
-        return records
-    torn: list[str] = []
-    with events_path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                torn.append(line)
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-    if torn:
-        quarantine_torn_lines(events_path, torn)
-    return records
+    return journal.load(events_path).records
 
 
 def computed_events(root: Path | str | None = None) -> list[str]:

@@ -6,12 +6,13 @@ object per line::
     {"hash": "...", "kind": "montecarlo", "params": {...},
      "status": "ok", "result": {...}, "elapsed_s": 0.41}
 
-The append-only discipline makes writes crash-safe: a torn final line
-(a writer crashed mid-append) is tolerated and quarantined on load —
-logged and copied to a ``<store>.quarantine`` side file, never fatal —
-and the next append seals it with a newline before writing, so torn
-debris can never merge with a fresh record.  Records are keyed
-by the point's content hash (:meth:`CampaignPoint.content_hash`);
+The file is a :mod:`repro.journal`, which makes writes crash-safe: a
+torn final line (a writer crashed mid-append) is tolerated and
+quarantined on load — logged and copied to a ``<store>.quarantine``
+side file, never fatal — and the next append seals it with a newline
+before writing, so torn debris can never merge with a fresh record.
+Records are keyed by the point's content hash
+(:meth:`CampaignPoint.content_hash`);
 re-appending a hash supersedes the earlier record, so a store never needs
 compaction to stay *correct* — :meth:`ResultStore.compact` exists to
 reclaim the superseded lines' disk space, not to fix anything.  Only
@@ -43,13 +44,12 @@ makes *new* stores sharded.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import time
 import zlib
 from pathlib import Path
 
-from .. import obs
+from .. import journal, obs
 from ..errors import CampaignError
 
 __all__ = [
@@ -57,79 +57,12 @@ __all__ = [
     "ShardedResultStore",
     "SHARDS_ENV",
     "default_store_root",
-    "locked_append",
-    "quarantine_torn_lines",
 ]
 
 #: Environment knob: shard count for *newly created* campaign stores
 #: resolved through :meth:`ResultStore.for_campaign` (0/unset = plain).
 SHARDS_ENV = "REPRO_STORE_SHARDS"
 
-
-def locked_append(path: Path, payload: bytes) -> None:
-    """Append ``payload`` under an exclusive lock, sealing torn tails.
-
-    The crash-consistency primitive shared by the result store and the
-    service job journal: one ``open``/``flock``/``write`` per call, and
-    if the previous writer died mid-line the torn tail is sealed with a
-    newline first so the debris stays an isolated (quarantinable) line
-    instead of merging with the first fresh record.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # a+b (read + append) so the torn-tail check can inspect the
-    # current last byte through the same locked descriptor.
-    with path.open("a+b") as handle:
-        try:
-            import fcntl
-
-            fcntl.flock(handle, fcntl.LOCK_EX)
-        except (ImportError, OSError):  # pragma: no cover
-            # Best-effort locking: non-POSIX platforms have no fcntl,
-            # and some network filesystems refuse flock — appends stay
-            # as unlocked as they historically were.
-            pass
-        size = os.fstat(handle.fileno()).st_size
-        if size and os.pread(handle.fileno(), 1, size - 1) != b"\n":
-            handle.write(b"\n")
-        handle.write(payload)
-
-_LOG = logging.getLogger(__name__)
-
-
-def quarantine_torn_lines(path: Path, lines: list[str]) -> int:
-    """Preserve malformed JSONL lines in a ``.quarantine`` side file.
-
-    Crash-consistency contract shared by the result store and the cache
-    event log: a malformed line (usually the torn tail of a writer that
-    died mid-append) is *tolerated* — skipped by the reader, never
-    fatal — and *quarantined* — logged and appended to
-    ``<path>.quarantine`` so the debris stays inspectable after a
-    :meth:`ResultStore.compact` or log rotation drops it from the live
-    file.  Lines already quarantined are not duplicated.  Returns the
-    number of newly quarantined lines; quarantine-file write errors are
-    swallowed (the side file is best-effort, the load must succeed).
-    """
-    if not lines:
-        return 0
-    side = path.with_suffix(path.suffix + ".quarantine")
-    try:
-        known = set(
-            side.read_text(encoding="utf-8").splitlines()
-        ) if side.exists() else set()
-        fresh = [line for line in lines if line not in known]
-        if fresh:
-            with side.open("a", encoding="utf-8") as handle:
-                handle.write("".join(line + "\n" for line in fresh))
-    except OSError:  # pragma: no cover - best-effort side file
-        fresh = lines
-    _LOG.warning(
-        "%s: quarantined %d malformed line(s) (torn tail of an "
-        "interrupted writer?); see %s",
-        path, len(lines), side,
-    )
-    if obs.enabled():
-        obs.counter("store.quarantined_lines", len(lines))
-    return len(fresh)
 
 #: Valid terminal states of a stored point.
 _STATUSES = ("ok", "failed")
@@ -226,10 +159,11 @@ class ResultStore:
     def load(self) -> dict[str, dict]:
         """Read all records, keyed by point hash (later lines win).
 
-        Malformed lines (e.g. a torn tail from an interrupted run) are
-        tolerated and quarantined: skipped by the parse, logged, and
-        preserved in ``<store>.quarantine`` — a crashed run never makes
-        its store unreadable.  An absent file is an empty store.
+        Malformed lines (e.g. a torn tail from an interrupted run, or an
+        object without a ``hash``) are tolerated and quarantined:
+        skipped by the parse, logged, and preserved in
+        ``<store>.quarantine`` — a crashed run never makes its store
+        unreadable.  An absent file is an empty store.
         Duplicate lines from resumed or ``resume=False`` runs collapse
         here — last write wins.  The parse is memoized against the
         file's (size, mtime) signature; the returned mapping is a fresh
@@ -241,24 +175,9 @@ class ResultStore:
             return {}
         if self._memo is not None and self._memo[0] == signature:
             return dict(self._memo[1])
-        records: dict[str, dict] = {}
-        n_lines = 0
-        torn: list[str] = []
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                n_lines += 1
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    torn.append(line)
-                    continue
-                if isinstance(record, dict) and "hash" in record:
-                    records[record["hash"]] = record
-        if torn:
-            quarantine_torn_lines(self.path, torn)
+        snapshot = journal.load(self.path, valid=lambda r: "hash" in r)
+        records = {record["hash"]: record for record in snapshot.records}
+        n_lines = len(snapshot.records) + len(snapshot.malformed)
         self.n_parses += 1
         self._memo = (signature, records, n_lines)
         return dict(records)
@@ -296,11 +215,8 @@ class ResultStore:
                 )
             if "hash" not in record:
                 raise CampaignError("record must carry the point hash")
-        payload = "".join(
-            json.dumps(record, sort_keys=True) + "\n" for record in records
-        ).encode("utf-8")
         started = time.perf_counter() if obs.enabled() else 0.0
-        locked_append(self.path, payload)
+        journal.append(self.path, records)
         if obs.enabled():
             obs.observe("store.append_s", time.perf_counter() - started)
             obs.counter("store.records_appended", len(records))

@@ -12,8 +12,8 @@ Two implementations are provided for every technique:
   by the experiments (millions of words per sweep), and
 * a **bit-serial reference** path (``encode_word`` / ``decode_word``)
   written as a direct transcription of the hardware description in the
-  paper, used by the test-suite to cross-validate the vectorised path
-  (design decision D1 in DESIGN.md).
+  paper.  The test-suite checks the vectorised path against it, so the
+  fast path always has an independently written oracle.
 """
 
 from __future__ import annotations

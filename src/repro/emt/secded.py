@@ -8,7 +8,7 @@ in the *faulty* voltage-scaled memory (unlike DREAM's side memory, the
 check bits themselves are exposed to stuck-at faults; the code is designed
 for exactly that).
 
-Decoding semantics (design decision D4 in DESIGN.md):
+Decoding semantics (double errors are reported, never "corrected"):
 
 * syndrome 0, overall parity even — no error;
 * syndrome 0, parity odd — the overall parity bit itself flipped, data OK;

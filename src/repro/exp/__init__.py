@@ -1,7 +1,6 @@
 """Experiment drivers reproducing every table and figure of the paper.
 
-Each module reproduces one artefact of the evaluation (see DESIGN.md's
-per-experiment index):
+Each module reproduces one artefact of the evaluation:
 
 * :mod:`repro.exp.fig2` — Fig 2, SNR vs bit position of injected
   stuck-at errors (the significance characterisation, Section III);

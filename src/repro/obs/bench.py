@@ -5,7 +5,7 @@ the 30% regression gate in ``check_regression.py`` only sees cliffs —
 a benchmark can creep 5% slower per PR for five PRs and never trip it.
 This module gives every BENCH gauge event a *trajectory*: the harness
 appends each measurement (already host-fingerprinted since PR 7) to a
-flock'd ``bench_history.jsonl`` stamped with the git revision, and
+``bench_history.jsonl`` journal stamped with the git revision, and
 :func:`detect_drift` flags any series whose latest point leaves a
 rolling-median band — surfaced as ``repro bench trend [metric]``
 (sparkline trajectories, non-zero exit on drift) and consulted by
@@ -13,10 +13,10 @@ rolling-median band — surfaced as ``repro bench trend [metric]``
 not just single-run cliffs.
 
 History lines are ordinary schema gauge events (:mod:`.events`) with
-the revision added as ``attrs["git"]`` — the same one-object-per-line
-discipline as traces and the run registry.  Like the registry, the
-history is *operational* state: a torn trailing line (concurrent
-append, kill mid-write) is skipped, not fatal.
+the revision added as ``attrs["git"]``, in a :mod:`repro.journal` like
+traces and the run registry.  Like the registry, the history is
+*operational* state: a torn line (kill mid-write) is quarantined, not
+fatal.
 
 Drift verdicts are pure arithmetic over the committed points — same
 file in, bit-identical verdict out — which is what lets a committed
@@ -25,7 +25,6 @@ fixture pin the detector's behaviour in tests.
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import time
@@ -33,6 +32,7 @@ from pathlib import Path
 from statistics import median
 from typing import Any
 
+from .. import journal
 from .events import validate_event
 
 __all__ = [
@@ -104,16 +104,16 @@ def append_history(
     path: Path | str | None = None,
     revision: str | None = None,
 ) -> Path:
-    """Append a benchmark run's gauge events to the history, flock'd.
+    """Append a benchmark run's gauge events to the history journal.
 
     Only ``metric``/``gauge`` events are history material (the run
     marker carries no measurement); each is validated, stamped with the
-    git ``revision`` in its attrs, and appended under an exclusive
-    flock so concurrent benchmark processes interleave whole lines.
+    git ``revision`` in its attrs, and appended in one locked write so
+    concurrent benchmark processes interleave whole lines.
     """
     target = Path(path) if path is not None else default_history_path()
     stamp = revision if revision is not None else git_revision()
-    lines: list[str] = []
+    records: list[dict] = []
     for event in events:
         if event.get("event") != "metric" or event.get("kind") != "gauge":
             continue
@@ -125,47 +125,27 @@ def append_history(
                 "refusing to append a malformed history event: "
                 + "; ".join(problems)
             )
-        lines.append(json.dumps(record, sort_keys=True) + "\n")
-    if not lines:
-        return target
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "a", encoding="utf-8") as handle:
-        try:
-            import fcntl
-
-            fcntl.flock(handle, fcntl.LOCK_EX)
-        except (ImportError, OSError):  # pragma: no cover - non-POSIX
-            pass
-        handle.write("".join(lines))
+        records.append(record)
+    journal.append(target, records)
     return target
 
 
 def load_history(path: Path | str | None = None) -> list[dict]:
     """The history's gauge events in append order (missing file = empty).
 
-    Torn or malformed lines are skipped — the history is operational
-    state appended by concurrent processes, and one interrupted write
-    must not wedge every future trend read.
+    Torn or malformed lines are quarantined and skipped — the history
+    is operational state appended by concurrent processes, and one
+    interrupted write must not wedge every future trend read.
     """
     source = Path(path) if path is not None else default_history_path()
-    if not source.exists():
-        return []
-    events: list[dict] = []
-    for line in source.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if (
-            isinstance(event, dict)
-            and event.get("event") == "metric"
-            and event.get("kind") == "gauge"
-            and not validate_event(event)
-        ):
-            events.append(event)
-    return events
+    records = journal.load(
+        source, valid=lambda event: not validate_event(event)
+    ).records
+    return [
+        event
+        for event in records
+        if event.get("event") == "metric" and event.get("kind") == "gauge"
+    ]
 
 
 def history_series(

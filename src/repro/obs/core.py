@@ -6,7 +6,7 @@ flag, so an untraced run pays a single boolean/env check per probe and
 allocates nothing — the property the overhead-guard test pins.
 
 When enabled, events stream to one append-only JSONL sink (the schema
-of :mod:`repro.obs.events`):
+of :mod:`repro.obs.events`, written as a :mod:`repro.journal`):
 
 * **spans** buffer in-process and flush whenever the process's span
   stack empties (so worker processes that are ``terminate()``-d by a
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import atexit
 import itertools
-import json
 import os
 import threading
 import time
@@ -57,6 +56,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
 
+from .. import journal
 from ..errors import ObsError
 from .events import histogram_summary, metric_event, run_event, span_event
 
@@ -477,20 +477,8 @@ class _Tracer:
         self._hists.clear()
         if not self._buffer:
             return
-        payload = "".join(
-            json.dumps(event, sort_keys=True) + "\n"
-            for event in self._buffer
-        )
-        self._buffer.clear()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            try:
-                import fcntl
-
-                fcntl.flock(handle, fcntl.LOCK_EX)
-            except (ImportError, OSError):  # pragma: no cover - non-POSIX
-                pass
-            handle.write(payload)
+        events, self._buffer = self._buffer, []
+        journal.append(self.path, events)
 
 
 # -- module state ----------------------------------------------------------

@@ -194,10 +194,12 @@ class Sampler:
     def _sample_once(self, main_id: int | None, own_id: int) -> None:
         spans = self.tracer.open_span_paths()
         frames = sys._current_frames()
+        # The sampler's own frame holds this dict in its locals; left in,
+        # that reference cycle would pin every sampled frame (and the
+        # arrays its locals hold) until the cyclic GC ran.
+        del frames[own_id]
         with self._lock:
             for thread_id, frame in frames.items():
-                if thread_id == own_id:
-                    continue
                 span_path = spans.get(thread_id)
                 if span_path is None:
                     if thread_id != main_id:

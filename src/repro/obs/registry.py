@@ -16,18 +16,18 @@ list, filter, tail and *compare* runs without opening any trace:
   machine delta (the cross-device-comparability requirement of the
   Samakovlis et al. benchmarking methodology).
 
-Writes follow the tracer's discipline: one ``flock``-serialised append
-per record, last record per run id wins on load (``register`` then
-``finalize`` appends two records; a re-run appends a fresh pair).
+The file is a :mod:`repro.journal`: one ``flock``-serialised, sealed
+append per record, last record per run id wins on load (``register``
+then ``finalize`` appends two records; a re-run appends a fresh pair).
 Unlike a trace — where a malformed event is a hard error — a torn
-registry line (a run killed mid-append) is *skipped* on load: the
-registry is operational state, and a crashed run must never brick
-``repro runs`` for every run that came after it.
+registry line (a run killed mid-append) is *quarantined* on load to
+``registry.jsonl.quarantine``: the registry is operational state, and a
+crashed run must never brick ``repro runs`` for every run that came
+after it.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import socket
@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from .. import journal
 from ..errors import ObsError
 
 __all__ = [
@@ -250,16 +251,7 @@ class RunRegistry:
     # -- writes ------------------------------------------------------------
 
     def _append(self, record: RunRecord) -> RunRecord:
-        self.root.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(record.to_dict(), sort_keys=True) + "\n"
-        with open(self.path, "a", encoding="utf-8") as handle:
-            try:
-                import fcntl
-
-                fcntl.flock(handle, fcntl.LOCK_EX)
-            except (ImportError, OSError):  # pragma: no cover - non-POSIX
-                pass
-            handle.write(line)
+        journal.append(self.path, [record.to_dict()])
         return record
 
     def register(
@@ -359,23 +351,14 @@ class RunRegistry:
         """All runs, keyed by run id — the last record per id wins.
 
         Unparsable or structurally invalid lines (torn writes from
-        killed processes) are skipped, not fatal.
+        killed processes) are quarantined to
+        ``registry.jsonl.quarantine`` and skipped, never fatal.
         """
-        if not self.path.is_file():
-            return {}
-        runs: dict[str, RunRecord] = {}
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not _valid_line(payload):
-                continue
-            record = RunRecord.from_dict(payload)
-            runs[record.run_id] = record
-        return runs
+        records = journal.load(self.path, valid=_valid_line).records
+        return {
+            record["run_id"]: RunRecord.from_dict(record)
+            for record in records
+        }
 
     def get(self, run_id: str) -> RunRecord | None:
         """The latest record of one run, or ``None``."""

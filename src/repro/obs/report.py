@@ -19,6 +19,7 @@ import json
 from pathlib import Path
 from typing import Any
 
+from .. import journal
 from ..errors import ObsError
 from .events import validate_event
 
@@ -34,31 +35,34 @@ __all__ = [
 ]
 
 
+def valid_event(payload: dict) -> bool:
+    """Whether a parsed trace line satisfies the event schema."""
+    return not validate_event(payload)
+
+
+def checked_events(source: Path, snapshot: journal.Snapshot) -> list[dict]:
+    """A trace snapshot's events; raises ObsError on its first bad line."""
+    if not snapshot.malformed:
+        return snapshot.records
+    lineno, line = snapshot.malformed[0]
+    try:
+        payload = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ObsError(f"{source}:{lineno}: not valid JSON: {exc}") from exc
+    raise ObsError(
+        f"{source}:{lineno}: malformed trace event: "
+        + "; ".join(validate_event(payload))
+    )
+
+
 def load_trace(path: Path | str) -> list[dict]:
     """Parse and validate a JSONL trace; raises ObsError on any bad line."""
-    events: list[dict] = []
     source = Path(path)
     try:
-        text = source.read_text(encoding="utf-8")
+        snapshot = journal.read(source, valid=valid_event)
     except OSError as exc:
         raise ObsError(f"cannot read trace {source}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ObsError(
-                f"{source}:{lineno}: not valid JSON: {exc}"
-            ) from exc
-        problems = validate_event(payload)
-        if problems:
-            raise ObsError(
-                f"{source}:{lineno}: malformed trace event: "
-                + "; ".join(problems)
-            )
-        events.append(payload)
-    return events
+    return checked_events(source, snapshot)
 
 
 def load_events(path: Path | str) -> list[dict]:

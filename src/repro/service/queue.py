@@ -1,12 +1,12 @@
 """The durable job queue behind the experiment service.
 
 One append-only JSONL journal (``<service root>/jobs.jsonl``) records
-every state transition of every job the daemon ever accepted.  The
-write discipline is PR 9's crash-consistency contract, shared with the
-campaign result store through :func:`repro.campaign.store.locked_append`:
-one ``flock``-serialised append per transition, a torn tail (a writer
-killed mid-line) is sealed by the next append and quarantined on load,
-and the *last* record per job id wins — so the journal is both the
+every state transition of every job the daemon ever accepted.  It is
+a :mod:`repro.journal`, the crash-consistency contract every
+append-only log shares: one ``flock``-serialised append per transition,
+reads under a shared lock, a torn tail (a writer killed mid-line) is
+sealed by the next append and quarantined on load, and the *last*
+record per job id wins — so the journal is both the
 queue and its own audit log, and a SIGKILLed daemon loses at most the
 single transition it was writing.
 
@@ -28,13 +28,12 @@ and ``cancelled`` jobs are re-queued by a resubmission.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
-from ..campaign.store import locked_append, quarantine_torn_lines
+from .. import journal
 from ..errors import ServiceError
 from ..obs.registry import pid_alive
 
@@ -176,8 +175,7 @@ class JobQueue:
     # -- writes ------------------------------------------------------------
 
     def _append(self, record: JobRecord) -> JobRecord:
-        line = json.dumps(record.to_dict(), sort_keys=True) + "\n"
-        locked_append(self.path, line.encode("utf-8"))
+        journal.append(self.path, [record.to_dict()])
         return record
 
     def submit(
@@ -301,26 +299,14 @@ class JobQueue:
         ``jobs.jsonl.quarantine``) and skipped, never fatal — a killed
         writer must not brick the queue.
         """
-        if not self.path.is_file():
-            return {}
-        jobs: dict[str, JobRecord] = {}
-        torn: list[str] = []
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                torn.append(line)
-                continue
-            if not _valid_line(payload):
-                torn.append(line)
-                continue
-            record = JobRecord.from_dict(payload)
-            jobs[record.job_id] = record
-        if torn:
-            quarantine_torn_lines(self.path, torn)
-        return jobs
+        records = journal.load(self.path, valid=_valid_line).records
+        # Fold first: every job has several lines, but only its last
+        # one becomes a JobRecord.
+        latest = {record["job_id"]: record for record in records}
+        return {
+            job_id: JobRecord.from_dict(record)
+            for job_id, record in latest.items()
+        }
 
     def get(self, job_id: str) -> JobRecord | None:
         """The latest record of one job, or ``None``."""

@@ -78,6 +78,16 @@ def test_load_skips_torn_and_alien_lines(tmp_path):
     assert [event["name"] for event in loaded] == ["cold_s"]
 
 
+def test_append_after_torn_tail_lands_intact(tmp_path):
+    history = tmp_path / "hist.jsonl"
+    bench.append_history([_gauge("cold_s", 1.5)], path=history, revision="a")
+    with history.open("a", encoding="utf-8") as handle:
+        handle.write('{"event": "metric", "kind"')  # no newline
+    bench.append_history([_gauge("cold_s", 1.6)], path=history, revision="b")
+    loaded = bench.load_history(history)
+    assert [event["value"] for event in loaded] == [1.5, 1.6]
+
+
 def test_missing_history_is_empty(tmp_path):
     assert bench.load_history(tmp_path / "nope.jsonl") == []
 

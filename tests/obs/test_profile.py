@@ -11,11 +11,15 @@ format and its readers are a contract: the committed fixture under
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
+import threading
 import time
+import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -116,6 +120,42 @@ def test_enable_truncate_clears_stale_shards(tmp_path):
         assert not stale.exists()
     finally:
         obs.disable()
+
+
+def test_sampling_does_not_pin_sampled_frames(tmp_path):
+    # Without cyclic GC, a local of a sampled frame must die with its
+    # function: the sample may not keep the frame alive.
+    class Payload:
+        pass
+
+    refs = []
+    ready = threading.Event()
+    release = threading.Event()
+
+    def work():
+        payload = Payload()
+        refs.append(weakref.ref(payload))
+        ready.set()
+        release.wait(timeout=10)
+
+    worker = threading.Thread(target=work)
+    gc.disable()
+    try:
+        worker.start()
+        assert ready.wait(timeout=10)
+        tracer = SimpleNamespace(
+            open_span_paths=lambda: {worker.ident: ("work",)}
+        )
+        sampler = prof.Sampler(tracer, tmp_path / "p.jsonl", 1.0)
+        sampler._sample_once(None, threading.get_ident())
+        release.set()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert sampler.samples == 1
+        assert refs[0]() is None
+    finally:
+        release.set()
+        gc.enable()
 
 
 def _profiled_worker(index: int) -> int:

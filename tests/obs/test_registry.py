@@ -68,6 +68,21 @@ def test_torn_lines_are_skipped_not_fatal(tmp_path):
         handle.write('{"status": "ok"}\n')  # no run_id
     runs = registry.load()
     assert set(runs) == {"good-run"}
+    side = registry.path.with_name(REGISTRY_BASENAME + ".quarantine")
+    assert side.read_text(encoding="utf-8").splitlines() == [
+        '{"run_id": "torn-run", "status": "run',
+        "not json at all",
+        '{"status": "ok"}',
+    ]
+
+
+def test_register_after_torn_tail_lands_intact(tmp_path):
+    registry = RunRegistry(tmp_path)
+    registry.register("good-run", started_at=1.0)
+    with open(registry.path, "a", encoding="utf-8") as handle:
+        handle.write('{"run_id": "torn-run", "status": "run')  # no newline
+    registry.register("next-run", started_at=2.0)
+    assert set(registry.load()) == {"good-run", "next-run"}
 
 
 def test_runs_filtering_and_latest(tmp_path):

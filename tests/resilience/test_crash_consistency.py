@@ -15,8 +15,8 @@ import pytest
 
 from repro.cache import DiskCache, computed_events
 from repro.campaign import CampaignSpec, ResultStore, run_campaign
-from repro.campaign.store import quarantine_torn_lines
 from repro.errors import CampaignError
+from repro.journal import quarantine
 from repro.resilience import chaos_draw
 
 GOOD = {
@@ -57,9 +57,9 @@ class TestStoreTornTail:
 
     def test_quarantine_helper_counts_fresh_lines_only(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        assert quarantine_torn_lines(path, ["x", "y"]) == 2
-        assert quarantine_torn_lines(path, ["y", "z"]) == 1
-        assert quarantine_torn_lines(path, []) == 0
+        assert quarantine(path, ["x", "y"]) == 2
+        assert quarantine(path, ["y", "z"]) == 1
+        assert quarantine(path, []) == 0
         side = tmp_path / "c.jsonl.quarantine"
         assert side.read_text(encoding="utf-8").splitlines() == [
             "x", "y", "z",

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -193,6 +197,66 @@ class TestRecovery:
         assert not queue.path.with_name(
             queue.path.name + ".quarantine"
         ).exists()
+
+
+    def test_reader_racing_large_appends_quarantines_nothing(self, queue):
+        # A 20 KB line lands in more than one piece: a reader that does
+        # not wait for the writer's lock sees (and quarantines) a part.
+        blob = "x" * 20_000
+        stop = threading.Event()
+
+        def load_until_stopped():
+            while not stop.is_set():
+                queue.load()
+
+        reader = threading.Thread(target=load_until_stopped)
+        reader.start()
+        try:
+            for i in range(300):
+                queue.submit(f"big-{i}", "experiment", {"blob": blob})
+        finally:
+            stop.set()
+            reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert len(queue.load()) == 300
+        assert not queue.path.with_name(
+            queue.path.name + ".quarantine"
+        ).exists()
+
+    def test_fork_during_append_does_not_wedge_the_next(
+        self, queue, monkeypatch
+    ):
+        # The daemon forks pool workers while its socket thread may be
+        # appending: a child that inherits the locked descriptor must
+        # not hold the journal's lock after the append returns.
+        real_flock = fcntl.flock
+        children = []
+
+        def flock_then_fork(handle, operation):
+            real_flock(handle, operation)
+            if operation == fcntl.LOCK_EX and not children:
+                pid = os.fork()
+                if pid == 0:
+                    time.sleep(60)
+                    os._exit(0)
+                children.append(pid)
+
+        monkeypatch.setattr(fcntl, "flock", flock_then_fork)
+        try:
+            submit(queue, job_id="first")
+            monkeypatch.undo()
+            assert len(children) == 1
+            second = threading.Thread(
+                target=submit, args=(queue, "second")
+            )
+            second.start()
+            second.join(timeout=5)
+            assert not second.is_alive()
+        finally:
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        assert set(queue.load()) == {"first", "second"}
 
 
 class TestListing:
